@@ -1307,7 +1307,7 @@ def experiment_e14(
     grid = [
         ("udp", 0.0, DEFAULT_MTU, n_commands),
         ("udp, 5% loss", 0.05, DEFAULT_MTU, max(40, n_commands // 2)),
-        ("tcp (mtu 200)", 0.0, 200, max(40, n_commands // 2)),
+        ("tcp (mtu 32)", 0.0, 32, max(40, n_commands // 2)),
     ]
     return [
         asyncio.run(_e14_run(label, count, loss, mtu, window, seed))

@@ -307,11 +307,11 @@ class NetRuntime:
 
     def _on_frame(self, data: bytes) -> None:
         try:
-            src, dst, msg = decode(data, self.codec_context)
-        except (CodecError, ValueError, TypeError) as exc:
+            envelope = decode(data, self.codec_context)
+        except CodecError as exc:  # decode's only error for malformed input
             self.errors.append(exc)
             return
-        self._guarded(lambda: self._deliver(src, dst, msg))
+        self._guarded(lambda: self._deliver(*envelope))
 
     def _send_tcp(self, node: str, data: bytes) -> None:
         queue = self._tcp_queues.get(node)

@@ -8,12 +8,19 @@ this suite until it both registers with the codec (automatic for frozen
 dataclasses in scanned modules) and gets a wire sample below -- a new
 message can never silently lack wire support.
 
-Also pins the header contract (magic + version rejection) and the
-canonical-bytes property for unordered containers.
+Also pins the header contract (magic + version rejection), the
+canonical-bytes property for unordered containers, the decode contract
+(malformed input raises ``CodecError`` and nothing else, checked on
+hand-made payloads and on seeded truncations and bit flips of every
+sample) and golden bytes for three frames of wire version 2.
 """
 
 from __future__ import annotations
 
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,6 +53,7 @@ from repro.core.liveness import Heartbeat
 from repro.core.rounds import RoundId
 from repro.cstruct.commands import Command
 from repro.cstruct.history import CommandHistory
+from repro.cstruct.seq import CommandSequence
 from repro.lint.engine import Module, collect_files
 from repro.lint.taxonomy import message_names
 from repro.net import codec
@@ -219,3 +227,132 @@ def test_unordered_containers_have_canonical_bytes():
     a = Propose(CMD, frozenset({2, 0, 1}), frozenset({"a1", "a0"}))
     b = Propose(CMD, frozenset({1, 2, 0}), frozenset({"a0", "a1"}))
     assert codec.encode(a) == codec.encode(b)
+
+
+# -- wire version 2: decode contract, fuzzing, byte stability ------------------
+
+HEADER = codec.MAGIC + bytes([codec.WIRE_VERSION])
+HEADER_BITS = len(HEADER) * 8
+
+
+MALFORMED = {
+    "empty": b"",
+    "truncated varint": bytes([codec.T_INT]),
+    "string past the end": bytes([codec.T_STR, 5]) + b"abc",
+    "unknown tag": bytes([99]),
+    "unknown class": bytes([codec.T_MSG, 5]) + b"Nope!" + bytes([0]),
+    "name length lies": bytes([codec.T_MSG, 9]) + b"Phase1a" + bytes([0]),
+    "wrong field count": bytes([codec.T_MSG, 7]) + b"Phase1a" + bytes([2, 0, 0]),
+    "count past the end": bytes([codec.T_TUPLE, 100, codec.T_NONE]),
+    "overlong varint": bytes([codec.T_TUPLE] + [0xFF] * 11),
+    "trailing bytes": bytes([codec.T_NONE, codec.T_NONE]),
+    "nesting bomb": bytes([codec.T_TUPLE, 1]) * 5_000 + bytes([codec.T_NONE]),
+    "dict key without value": bytes([codec.T_DICT, 1, codec.T_NONE]),
+    "unhashable set member": bytes([codec.T_FROZENSET, 1, codec.T_LIST, 0]),
+    "truncated double": bytes([codec.T_FLOAT, 0, 0]),
+    "version-1 JSON payload": b'{"t":"Command","v":[1]}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_payloads_raise_only_codec_error(case):
+    with pytest.raises(CodecError):
+        codec.decode(HEADER + MALFORMED[case], CONTEXT)
+
+
+def test_decode_runs_constructor_validation():
+    # CommandSequence.__post_init__ refuses duplicates; so must decode.
+    empty = codec.encode(CommandSequence(()))  # ends in the tuple count 0
+    duplicated = empty[:-1] + bytes([2]) + codec.encode(CMD)[3:] * 2
+    with pytest.raises(CodecError):
+        codec.decode(duplicated)
+
+
+def test_history_decode_validates_commands():
+    # CommandHistory.of needs commands; an int in the linear extension fails.
+    with pytest.raises(CodecError):
+        codec.decode(HEADER + bytes([codec.T_HISTORY, 1, codec.T_INT, 2]), CONTEXT)
+
+
+@pytest.mark.parametrize("name", sorted(MESSAGE_SAMPLES))
+def test_fuzzed_frames_decode_or_raise_codec_error(name):
+    rng = random.Random(f"fuzz-{name}")
+    frame = codec.encode(("src", "dst", MESSAGE_SAMPLES[name]))
+    variants = [frame[:cut] for cut in range(len(frame))]
+    for _ in range(64):
+        bit = rng.randrange(HEADER_BITS, len(frame) * 8)
+        flipped = bytearray(frame)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        variants.append(bytes(flipped))
+    for variant in variants:
+        try:
+            codec.decode(variant, CONTEXT)
+        except CodecError:
+            pass
+
+# Golden v2 frames.  A change to any of these bytes is a wire-format
+# change: bump WIRE_VERSION with it, then update the goldens.
+GOLDEN = {
+    "I2b envelope": (
+        ("acc0", "learn1", I2b(RND, 7, CMD, "acc0")),
+        "525002" "0803" "050461636330" "05066c6561726e31"
+        "0e03493262" "04"
+        "0e07526f756e644964" "04" "0300" "0306" "0302" "0304"
+        "030e"
+        "0e07436f6d6d616e64" "04" "0506776972652d31" "0503707574" "05036b6579" "0352"
+        "050461636330",
+    ),
+    "Propose with frozensets": (
+        Propose(CMD, frozenset({1, 0}), frozenset({"a1", "a0"})),
+        "525002" "0e0750726f706f7365" "03"
+        "0e07436f6d6d616e64" "04" "0506776972652d31" "0503707574" "05036b6579" "0352"
+        "0a02" "0300" "0302"
+        "0a02" "05026130" "05026131",
+    ),
+    "Phase2a with CommandHistory": (
+        Phase2a(RND, CommandHistory.of(kv_conflict(), CMD, CMD2), 1, None),
+        "525002" "0e0750686173653261" "04"
+        "0e07526f756e644964" "04" "0300" "0306" "0302" "0304"
+        "0d02"
+        "0e07436f6d6d616e64" "04" "0506776972652d31" "0503707574" "05036b6579" "0352"
+        "0e07436f6d6d616e64" "04" "0506776972652d32" "0503676574" "05036b6579" "00"
+        "0302" "00",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_frames_are_stable(name):
+    value, golden = GOLDEN[name]
+    assert codec.WIRE_VERSION == 2, "wire version bumped: regenerate the goldens"
+    assert codec.encode(value).hex() == golden
+    assert codec.decode(bytes.fromhex(golden), CONTEXT) == value
+
+
+def test_frames_survive_late_ctl_registration():
+    # Ctl* messages register only when repro.net.node is imported, so
+    # processes register classes in different orders.  Names on the wire
+    # make that harmless: a frame encoded before the registration decodes
+    # after it, re-encodes to the same bytes, and equals the bytes this
+    # process (which imported repro.net.node first) produces.
+    script = (
+        "from repro.core.rounds import RoundId\n"
+        "from repro.cstruct.commands import Command\n"
+        "from repro.net import codec\n"
+        "from repro.smr.instances import I2b\n"
+        "value = ('acc0', 'learn1', I2b(RoundId(0, 3, 1, 2), 7,\n"
+        "         Command('wire-1', 'put', 'key', 41), 'acc0'))\n"
+        "assert 'CtlHello' not in codec.registered_names()\n"
+        "frame = codec.encode(value)\n"
+        "import repro.net.node\n"
+        "assert 'CtlHello' in codec.registered_names()\n"
+        "assert codec.decode(frame) == value\n"
+        "assert codec.encode(codec.decode(frame)) == frame\n"
+        "print(frame.hex())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == codec.encode(GOLDEN["I2b envelope"][0]).hex()

@@ -9,6 +9,7 @@ surfacing -- with plain processes instead of protocol roles.
 from __future__ import annotations
 
 import asyncio
+import struct
 from typing import Hashable
 
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from repro.core.messages import Phase1a
 from repro.core.rounds import RoundId
 from repro.core.runtime import Process, Runtime
-from repro.net.codec import encode
+from repro.net.codec import MAGIC, T_TUPLE, WIRE_VERSION, CodecError, encode
 from repro.net.transport import AddressBook, NetRuntime, loopback_book
 from repro.smr.instances import IGossip
 
@@ -187,6 +188,56 @@ def test_undecodable_frame_is_recorded_not_fatal():
         ra.send("pa", "pb", Phase1a(RoundId()))  # ...but the node still works
         assert await rb.wait_until(lambda: len(recorder.got) == 1, timeout=2.0)
         transport.close()
+        await ra.stop()
+        await rb.stop()
+
+    asyncio.run(main())
+
+
+async def _errors_reach(runtime: NetRuntime, count: int, timeout: float) -> bool:
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while len(runtime.errors) < count and loop.time() < deadline:
+        await asyncio.sleep(0.01)
+    return len(runtime.errors) >= count
+
+
+def test_malformed_frames_on_both_paths_are_recorded_not_fatal():
+    # Garbage behind a valid header.  Under the JSON payload of wire
+    # version 1 the first two escaped the error path: the bracket bomb
+    # raised RecursionError (UDP: only logged by asyncio), the wrong-shaped
+    # value AttributeError (TCP: ended the connection handler).  The third
+    # is a nesting bomb in the binary format, on the same connection.
+    header = MAGIC + bytes([WIRE_VERSION])
+    datagram = header + b"[" * 50_000
+    tcp_frames = [header + b'{"t":"Command","v":[1]}', header + bytes([T_TUPLE, 1]) * 5_000]
+
+    async def main():
+        book, ra, rb = _pair(mtu=200)
+        await ra.start()
+        await rb.start()
+        recorder = Recorder("pb", rb)
+        Recorder("pa", ra)
+        host, port = book.addr_of("b")
+        loop = asyncio.get_running_loop()
+        udp, _ = await loop.create_datagram_endpoint(
+            asyncio.DatagramProtocol, remote_addr=(host, port)
+        )
+        udp.sendto(datagram)
+        assert await _errors_reach(rb, 1, timeout=2.0)
+        reader, writer = await asyncio.open_connection(host, port)
+        for frame in tcp_frames:
+            writer.write(struct.pack("!I", len(frame)) + frame)
+        await writer.drain()
+        assert await _errors_reach(rb, 3, timeout=2.0)
+        assert all(isinstance(exc, CodecError) for exc in rb.errors)
+        rb.errors.clear()
+        ra.send("pa", "pb", Phase1a(RoundId()))  # UDP
+        ra.send("pa", "pb", IGossip(tuple(f"cmd-{i:04d}" for i in range(40)), ()))  # TCP
+        assert await rb.wait_until(lambda: len(recorder.got) == 2, timeout=5.0)
+        assert ra.frames_udp == 1 and ra.frames_tcp == 1
+        writer.close()
+        udp.close()
         await ra.stop()
         await rb.stop()
 
